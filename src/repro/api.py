@@ -146,7 +146,7 @@ def resolve_query(spec, query: str) -> Union[BenchmarkQuery, TemporalQuery]:
             return candidate
     raise ValidationError(
         f"unknown query {query!r} for scenario {spec.name!r}: pass a corpus "
-        f"query id or the exact text of one (see 'repro-nemo queries')")
+        f"query id or the exact text of one (see 'repro queries')")
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +331,14 @@ def answer_queries(requests: Sequence[QuerySpec],
         keys.append(task.key)
 
     report = run_tasks(task_set, policy=policy)
+    # a failed cell raises TaskExecutionError naming its key and first error line
+    report.raise_on_error()
     results = {result.key: result for result in report.results}
     answers: List[QueryAnswer] = []
     for key in keys:
         result = results[key]
         spec, resolved, model, backend = resolved_by_key[key]
-        value = result.value  # raises TaskExecutionError if the cell errored
+        value = result.value
         record: EvaluationRecord = value["record"]
         answers.append(QueryAnswer(
             scenario=spec.name,

@@ -1,4 +1,4 @@
-"""``repro-nemo`` — run queries, the benchmark, and the cost analysis.
+"""``repro`` — run queries, the benchmark, and the cost analysis.
 
 Sub-commands:
 
@@ -72,7 +72,7 @@ def _configure_logging(level_name: str) -> None:
 
     Tables, JSON specs, and results stay on stdout; everything narrating the
     run (fabric telemetry, "wrote X to Y" notes, debug detail) goes through
-    loggers so ``repro-nemo ... > out.txt`` captures only the data.
+    loggers so ``repro ... > out.txt`` captures only the data.
     """
     level = getattr(logging, level_name.upper(), None)
     if not isinstance(level, int):
@@ -214,7 +214,7 @@ def _print_fabric(run_report) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the CLI."""
     parser = argparse.ArgumentParser(
-        prog="repro-nemo",
+        prog="repro",
         description="Natural-language network management via LLM-generated code "
                     "(HotNets 2023 reproduction).")
     parser.add_argument("--version", action="version",
@@ -345,11 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4, metavar="N",
                        help="concurrent answer threads (default 4; clients "
                             "beyond this queue, they do not fail)")
-    serve.add_argument("--executor", choices=EXECUTOR_MODES, default="auto",
-                       help="fabric executor mode for batch requests "
-                            "(default auto)")
-    serve.add_argument("--jobs", type=int, default=2, metavar="N",
-                       help="fabric workers inside one batch request (default 2)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="content-keyed result cache directory "
                             "(default: no caching; answers are recomputed "
@@ -541,10 +536,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ReproService, ServiceConfig
 
     require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
-    require(args.jobs >= 1, f"--jobs must be at least 1, got {args.jobs}")
     service = ReproService(ServiceConfig(
         host=args.host, port=args.port, model=args.model, workers=args.workers,
-        executor=args.executor, jobs=args.jobs, cache=args.cache_dir))
+        cache=args.cache_dir))
 
     async def _run() -> None:
         await service.start()
@@ -721,7 +715,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             logger.info("wrote graph to %s", args.json_path)
         return 0
 
-    print("usage: repro-nemo scenarios {list,describe,generate,lock} ...")
+    print("usage: repro scenarios {list,describe,generate,lock} ...")
     return 2
 
 
@@ -799,7 +793,7 @@ def _cmd_obs_ledger(args: argparse.Namespace) -> int:
     if args.ledger_action == "show":
         print(json.dumps(ledger.find(args.entry), indent=2, sort_keys=True))
         return 0
-    print("usage: repro-nemo obs ledger {list,show} ...")
+    print("usage: repro obs ledger {list,show} ...")
     return 2
 
 
@@ -879,7 +873,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return _cmd_obs_diff(args)
     if args.obs_action == "ledger":
         return _cmd_obs_ledger(args)
-    print("usage: repro-nemo obs {report,diff,ledger} ...")
+    print("usage: repro obs {report,diff,ledger} ...")
     return 2
 
 

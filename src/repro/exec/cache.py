@@ -75,13 +75,13 @@ class ResultCache:
         try:
             with open(path, "rb") as handle:
                 # entries are two stacked pickles: a tiny store-sequence
-                # header, then the entry dict (legacy single-pickle entries
-                # surface the dict first and are still readable)
-                first = pickle.load(handle)
-                entry = first if isinstance(first, dict) else pickle.load(handle)
+                # header, then the entry dict
+                pickle.load(handle)
+                entry = pickle.load(handle)
         except (OSError, pickle.PickleError, EOFError, AttributeError, ImportError):
             # missing, torn, or unreadable entries — including entries whose
-            # result class has since moved or been renamed — are all misses
+            # result class has since moved or been renamed, and headerless
+            # entries from before the store sequence — are all misses
             self.misses += 1
             default_registry().counter("cache.misses").inc()
             return False, None
@@ -162,17 +162,15 @@ class ResultCache:
 
         def stored_sequence(path: Path) -> Tuple[int, int]:
             try:
-                # new-format entries stop after the tiny header pickle; a
-                # legacy single-pickle entry deserializes fully here (a
-                # one-time cost that disappears as entries are re-stored)
+                # reading stops after the tiny header pickle
                 with open(path, "rb") as handle:
                     header = pickle.load(handle)
-                if isinstance(header, (tuple, list)) and len(header) == 2:
-                    return tuple(header)
-                return (0, 0)  # legacy single-pickle entry: oldest in its group
             except (OSError, pickle.PickleError, EOFError, AttributeError,
                     ImportError):
-                return (0, 0)  # unreadable: oldest within its tie group
+                header = None
+            if isinstance(header, tuple) and len(header) == 2:
+                return header
+            return (0, 0)  # unreadable or headerless: oldest within its tie group
 
         def recency(item):
             mtime_ns, path = item

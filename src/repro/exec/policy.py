@@ -17,7 +17,7 @@ caller:
 * a single task never benefits from any pool.
 
 :class:`ExecutorPolicy` is the value object that carries the whole
-decision — mode, worker count, chunking, caching, context retention — and
+decision — mode, worker count, caching, context retention — and
 resolves it per :class:`~repro.exec.task.TaskSet` via the set's declared
 :attr:`~repro.exec.task.TaskSet.profile`.  It replaces the ad-hoc
 ``jobs``/``cache_dir``/``no_cache`` kwarg threading that the runner, the
@@ -30,7 +30,7 @@ three mechanisms produce byte-identical reports for the same task set.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.exec.cache import ResultCache
@@ -56,12 +56,8 @@ class ExecutorPolicy:
     mode: str = "auto"
     #: worker count; 1 always means the in-process serial executor
     jobs: int = 1
-    #: tasks per pool submission (None = auto, ~4 chunks per worker)
-    chunk_size: Optional[int] = None
     #: ``None`` (no caching), a directory path, or a live :class:`ResultCache`
     cache: Union[None, str, ResultCache] = None
-    #: optional :mod:`multiprocessing` start method (processes mode only)
-    start_method: Optional[str] = None
     #: keep :func:`~repro.exec.workers.worker_context` memos alive after an
     #: in-process run — long-lived owners (the serve layer) opt in so
     #: per-scenario state survives across requests instead of rebuilding
@@ -71,9 +67,6 @@ class ExecutorPolicy:
     def validate(self) -> None:
         require_in(self.mode, EXECUTOR_MODES, "executor mode")
         require(self.jobs >= 1, f"jobs must be at least 1, got {self.jobs}")
-        if self.chunk_size is not None:
-            require(self.chunk_size >= 1,
-                    f"chunk_size must be at least 1, got {self.chunk_size}")
 
     # ------------------------------------------------------------------
     def resolve_mode(self, task_set: TaskSet,
@@ -110,9 +103,8 @@ class ExecutorPolicy:
         if mode == "serial":
             return SerialExecutor()
         if mode == "threads":
-            return ThreadExecutor(jobs=self.jobs, chunk_size=self.chunk_size)
-        return ParallelExecutor(jobs=self.jobs, chunk_size=self.chunk_size,
-                                start_method=self.start_method)
+            return ThreadExecutor(jobs=self.jobs)
+        return ParallelExecutor(jobs=self.jobs)
 
     # ------------------------------------------------------------------
     # constructors
@@ -136,20 +128,3 @@ class ExecutorPolicy:
     def auto(cls, jobs: int = 2, cache: Union[None, str, ResultCache] = None,
              **overrides) -> "ExecutorPolicy":
         return cls(mode="auto", jobs=jobs, cache=cache, **overrides)
-
-    @classmethod
-    def from_legacy(cls, jobs: int = 1,
-                    cache: Union[None, str, ResultCache] = None,
-                    chunk_size: Optional[int] = None) -> "ExecutorPolicy":
-        """The policy equivalent of the pre-policy kwargs.
-
-        Preserves the historical behaviour exactly: ``jobs > 1`` meant the
-        process pool, anything else the serial executor — never ``auto``,
-        so code migrated mechanically cannot change executors under a
-        caller's feet.
-        """
-        return cls(mode="processes" if jobs > 1 else "serial",
-                   jobs=jobs, cache=cache, chunk_size=chunk_size)
-
-    def with_cache(self, cache: Union[None, str, ResultCache]) -> "ExecutorPolicy":
-        return replace(self, cache=cache)

@@ -8,8 +8,10 @@ are computed, never *what* they are.
 Architecture: an :mod:`asyncio` accept loop parses requests and routes
 them; answer work (synthesis → sandbox → evaluate) is synchronous and
 CPU/latency-mixed, so it is pushed onto a bounded thread pool while the
-event loop keeps accepting clients.  The fabric policy the answer threads
-dispatch under keeps worker contexts alive (``keep_contexts=True``):
+event loop keeps accepting clients.  Each request's cells (one, or a whole
+batch) run serially on its answer thread, so a request holds exactly one
+thread below the sandbox.  The fabric policy the answer threads dispatch
+under keeps worker contexts alive (``keep_contexts=True``):
 replayed scenarios, rebuilt applications, and golden selectors are memoized
 once per process and shared — concurrently and safely, because
 :func:`repro.exec.workers.worker_context` is thread-safe and every
@@ -74,10 +76,6 @@ class ServiceConfig:
     model: str = DEFAULT_MODEL
     #: concurrent answer threads (clients beyond this queue, not fail)
     workers: int = 4
-    #: fabric executor mode for batch requests (serial|threads|processes|auto)
-    executor: str = "auto"
-    #: fabric worker count inside one batch request
-    jobs: int = 2
     #: result cache threaded into the fabric policy (None = no caching)
     cache: Union[None, str, ResultCache] = None
     benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)
@@ -85,12 +83,14 @@ class ServiceConfig:
     def policy(self) -> ExecutorPolicy:
         """The fabric policy answer threads dispatch under.
 
-        ``keep_contexts=True`` is the serving difference: batch runs drop
-        their memoized scenario state after each sweep, a daemon reuses it
-        across requests — that reuse is the service's warm path.
+        Serial: a request's cells run inline on its answer thread, because
+        answer cells never wait and a per-request pool would only add thread
+        start-up and GIL hand-offs.  Concurrency across requests comes from
+        ``workers``.  ``keep_contexts=True`` is the serving difference: batch
+        runs drop their memoized scenario state after each sweep, a daemon
+        reuses it across requests — that reuse is the service's warm path.
         """
-        return ExecutorPolicy(mode=self.executor, jobs=self.jobs,
-                              cache=self.cache, keep_contexts=True)
+        return ExecutorPolicy.serial(cache=self.cache, keep_contexts=True)
 
 
 class ReproService:
@@ -121,9 +121,8 @@ class ReproService:
             self._handle_connection, host=self.config.host,
             port=self.config.port)
         self._started_monotonic = time.monotonic()
-        logger.info("repro serve listening on %s:%d (workers=%d, executor=%s)",
-                    self.config.host, self.port, self.config.workers,
-                    self.config.executor)
+        logger.info("repro serve listening on %s:%d (workers=%d)",
+                    self.config.host, self.port, self.config.workers)
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -217,7 +216,6 @@ class ReproService:
             "errors": registry.counter("serve.errors").value,
             "answers": registry.counter("serve.answers").value,
             "workers": self.config.workers,
-            "executor": self.config.executor,
         }
 
     def _parse_query_specs(self, document: Any) -> List[QuerySpec]:

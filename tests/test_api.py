@@ -16,7 +16,7 @@ import pytest
 from repro import api
 from repro.api import QuerySpec, QueryAnswer
 from repro.benchmark.queries import temporal_queries_for
-from repro.exec import ExecutorPolicy
+from repro.exec import ExecutorPolicy, TaskExecutionError
 from repro.serve.loadtest import (
     LoadTestConfig,
     LoadTestReport,
@@ -114,6 +114,17 @@ class TestAnswers:
             for key in strip:
                 left_doc.pop(key), right_doc.pop(key)
             assert left_doc == right_doc
+
+    def test_failed_cell_raises_with_its_key_and_cause(self, monkeypatch):
+        def broken_cell(payload):
+            raise RuntimeError("replay exploded")
+
+        monkeypatch.setattr(api, "run_temporal_cell", broken_cell)
+        with pytest.raises(TaskExecutionError) as excinfo:
+            api.answer_queries([QuerySpec("fat-tree-failover", "tq-e1")])
+        message = str(excinfo.value)
+        assert "api/fat-tree-failover/temporal/direct/tq-e1/gpt-4" in message
+        assert "RuntimeError: replay exploded" in message
 
     def test_temporal_entry_point_rejects_static_queries(self):
         with pytest.raises(ValidationError, match="not a temporal query"):

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import api
+from repro.exec import PROFILE_LATENCY, Task, TaskSet
 from repro.serve import ServerThread, ServiceConfig, request_json
 from repro.serve.http import (
     HttpProtocolError,
@@ -25,7 +26,7 @@ from repro.serve.loadtest import LoadTestConfig, run_loadtest
 
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(ServiceConfig(port=0, workers=4, jobs=2)) as running:
+    with ServerThread(ServiceConfig(port=0, workers=4)) as running:
         yield running
 
 
@@ -136,10 +137,39 @@ class TestErrorPaths:
         status, _ = call(server, "POST", "/query", {"requests": []})
         assert status == 400
 
+    def test_failed_cell_500_names_its_key_and_cause(self, server, monkeypatch):
+        def broken_cell(payload):
+            raise RuntimeError("replay exploded")
+
+        monkeypatch.setattr(api, "run_temporal_cell", broken_cell)
+        status, document = call(server, "POST", "/query",
+                                {"scenario": "fat-tree-failover",
+                                 "query": "tq-e1"})
+        assert status == 500
+        message = document["error"]["message"]
+        assert message.startswith("TaskExecutionError:")
+        assert "api/fat-tree-failover/temporal/direct/tq-e1/gpt-4" in message
+        assert "RuntimeError: replay exploded" in message
+        assert "TypeError" not in message
+
     def test_errors_never_kill_the_server(self, server):
         call(server, "POST", "/query", {"scenario": "atlantis", "query": "x"})
         status, document = call(server, "GET", "/healthz")
         assert status == 200 and document["errors"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# the policy served requests run under
+# ---------------------------------------------------------------------------
+class TestServicePolicy:
+    def test_batches_run_inline_with_warm_contexts(self):
+        """A served batch stays on its answer thread whatever its profile."""
+        tasks = TaskSet(name="api/answers", profile=PROFILE_LATENCY, tasks=[
+            Task(key=f"sq/{index}", fn="repro.exec.demo:square",
+                 payload={"x": index}) for index in range(4)])
+        policy = ServiceConfig().policy()
+        assert policy.resolve_mode(tasks, cpu_count=8) == "serial"
+        assert policy.keep_contexts is True
 
 
 # ---------------------------------------------------------------------------
