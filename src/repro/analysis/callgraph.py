@@ -16,9 +16,6 @@ time.  This module builds that graph statically:
   conservative unique-method heuristic: ``x.golden_for(...)`` binds to
   ``TemporalGoldenSelector.golden_for`` only when exactly one project class
   defines that method name and the name is not a builtin-container method;
-* calls that cannot be resolved are kept as :class:`ExternalCall` records
-  (dotted name + location) so the effect engine can match them against its
-  intrinsic-seed tables;
 * **worker roots** (functions referenced by ``"module:function"`` fabric
   worker strings) and **thread roots** (functions handed to
   ``Thread(target=...)``, ``pool.submit(...)``, ``loop.run_in_executor``,
@@ -38,7 +35,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis import astutil
 
@@ -73,23 +70,6 @@ class CallSite:
     col: int
 
 
-@dataclass(frozen=True)
-class ExternalCall:
-    """A call the graph cannot resolve to a project function.
-
-    ``dotted`` is the best available name: the alias-substituted dotted path
-    (``time.time``, ``os.path.exists``), a bare name (``sorted``), or —
-    for attribute calls on unknown receivers — ``?.<attr>`` so suffix
-    matching still works.
-    """
-
-    dotted: str
-    lineno: int
-    col: int
-    #: True when the call appears as the first argument of ``sorted(...)``
-    sorted_wrapped: bool = False
-
-
 @dataclass
 class FunctionNode:
     """One project function (or method, or module pseudo-function)."""
@@ -102,7 +82,6 @@ class FunctionNode:
     is_async: bool = False
     cls: Optional[str] = None
     calls: List[CallSite] = field(default_factory=list)
-    external_calls: List[ExternalCall] = field(default_factory=list)
     #: the AST subtree of this function (module AST for ``<module>``)
     node: Optional[ast.AST] = None
 
@@ -293,15 +272,28 @@ def _add_function(graph: CallGraph, info: ModuleInfo,
 def walk_owned(owner: ast.AST, *, is_module: bool) -> Iterator[ast.AST]:
     """Walk the statements *owned* by a function (or module pseudo-function).
 
-    For a module, stop at function/class-method boundaries (those calls
-    belong to the defs themselves); for a function, descend everywhere —
-    nested defs and lambdas run at the enclosing function's behest.
+    For a module, stop at the defs the graph registers as functions: each
+    module-level function and each method of a module-level class, the
+    last def of a name winning as in :func:`_collect_definitions`.  Every
+    other def (under a module-level ``if``, or shadowed by a later def of
+    the same name, like a property getter) stays with the module, so no
+    statement goes unowned.  For a function, descend everywhere — nested
+    defs and lambdas run at the enclosing function's behest.
     """
     if is_module:
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef)
         stack = list(ast.iter_child_nodes(owner))
+        kept: Dict[Tuple[Optional[str], str], ast.AST] = {}
+        for node in stack:
+            if isinstance(node, defs):
+                kept[(None, node.name)] = node
+            elif isinstance(node, ast.ClassDef):
+                kept.update(((node.name, child.name), child)
+                            for child in node.body if isinstance(child, defs))
+        registered = {id(node) for node in kept.values()}
         while stack:
             node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if id(node) in registered:
                 continue
             yield node
             stack.extend(ast.iter_child_nodes(node))
@@ -372,15 +364,6 @@ def _resolve_dotted_call(graph: CallGraph, info: ModuleInfo,
     return None
 
 
-def _substituted_dotted(info: ModuleInfo, dotted: str) -> str:
-    """Rewrite the leading alias of *dotted* to its real module path."""
-    head, _, rest = dotted.partition(".")
-    real = info.import_modules.get(head)
-    if real and rest:
-        return f"{real}.{rest}"
-    return dotted
-
-
 def _unique_method_target(graph: CallGraph, method: str) -> Optional[str]:
     if method in COMMON_METHOD_NAMES or method.startswith("__"):
         return None
@@ -390,36 +373,21 @@ def _unique_method_target(graph: CallGraph, method: str) -> Optional[str]:
     return None
 
 
-def _sorted_wrapped_ids(owner: ast.AST, is_module: bool) -> Set[int]:
-    wrapped: Set[int] = set()
-    nodes = walk_owned(owner, is_module=is_module)
-    for node in nodes:
-        if isinstance(node, ast.Call) and astutil.call_name(node) == "sorted" \
-                and node.args:
-            wrapped.add(id(node.args[0]))
-    return wrapped
-
-
 def _link_function(graph: CallGraph, info: ModuleInfo,
                    owner: FunctionNode) -> None:
     is_module = owner.name == MODULE_FUNCTION
-    wrapped = _sorted_wrapped_ids(owner.node, is_module)
     for node in walk_owned(owner.node, is_module=is_module):
-        if not isinstance(node, ast.Call):
-            continue
-        _link_call(graph, info, owner, node, wrapped)
+        if isinstance(node, ast.Call):
+            _link_call(graph, info, owner, node)
 
 
 def _link_call(graph: CallGraph, info: ModuleInfo, owner: FunctionNode,
-               call: ast.Call, wrapped: Set[int]) -> None:
+               call: ast.Call) -> None:
     func = call.func
     target: Optional[str] = None
-    external: Optional[str] = None
 
     if isinstance(func, ast.Name):
         target = _resolve_name_call(graph, info, func.id)
-        if target is None:
-            external = func.id
     elif isinstance(func, ast.Attribute):
         dotted = astutil.dotted_name(func)
         if dotted is not None:
@@ -437,21 +405,13 @@ def _link_call(graph: CallGraph, info: ModuleInfo, owner: FunctionNode,
                         and head not in info.classes:
                     # unknown receiver: fall back to dynamic dispatch
                     target = _unique_method_target(graph, func.attr)
-            if target is None:
-                external = _substituted_dotted(info, dotted)
         else:
             # call on a computed receiver: x().attr(...), d[k].attr(...)
             target = _unique_method_target(graph, func.attr)
-            if target is None:
-                external = f"?.{func.attr}"
 
     if target is not None:
         owner.calls.append(CallSite(target=target, lineno=call.lineno,
                                     col=call.col_offset))
-    elif external is not None:
-        owner.external_calls.append(ExternalCall(
-            dotted=external, lineno=call.lineno, col=call.col_offset,
-            sorted_wrapped=id(call) in wrapped))
 
     _detect_roots(graph, info, owner, call)
 

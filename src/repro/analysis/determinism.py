@@ -6,7 +6,9 @@ code being a pure function of its payload and on every serialization that
 feeds a digest being canonical.  These rules flag the classic ways that
 promise quietly breaks: filesystem enumeration order, set iteration order,
 wall-clock reads, the process-global RNG, per-process object identity, and
-non-canonical JSON.
+non-canonical JSON.  All but the last are queries over the effect seeds of
+:mod:`repro.analysis.effects`, so the flat per-file rules and the
+interprocedural contracts share one seed table and one traversal.
 
 Scope is intentionally narrow — the modules that run inside workers or feed
 ``Task.digest()`` / cache keys — so that, e.g., the CLI printing a timestamp
@@ -16,7 +18,7 @@ is not a finding but a worker reading one is.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator, Set, Tuple
 
 from repro.analysis import astutil, effects
 from repro.analysis.framework import (
@@ -53,17 +55,22 @@ JSON_SCOPE = DETERMINISM_SCOPE + (
     "techniques/",
 )
 
-# the pattern tables are shared with the interprocedural effect engine
-# (repro.analysis.effects seeds its lattice from the same sets), so a
-# pattern added there tightens both the flat and the transitive checks
-_LISTING_CALLS = effects.LISTING_CALLS
-_WALLCLOCK_CALLS = effects.WALLCLOCK_CALLS
-_GLOBAL_RANDOM_FUNCS = effects.GLOBAL_RANDOM_FUNCS
+def _seed_findings(rule_: Rule, ctx: FileContext, kind: str,
+                   consequence: str) -> Iterator[Finding]:
+    """One finding per site where the effect engine seeded *kind* in *ctx*.
 
-
-def _sorted_wrapped_args(tree: ast.AST) -> Set[int]:
-    """ids of AST nodes inside the first argument of any ``sorted(...)``."""
-    return effects.sorted_wrapped_ids(list(ast.walk(tree)))
+    The sites come from the effect engine's single traversal
+    (:func:`repro.analysis.effects.analyze_project`), so each pattern is
+    defined once; a site seeded twice at one position (``os.environ.get``
+    is both a call and an attribute read) yields one finding.
+    """
+    reported: Set[Tuple[int, int]] = set()
+    for seed in effects.project_for(ctx).seeds_in(ctx.relpath):
+        if seed.kind != kind or (seed.lineno, seed.col) in reported:
+            continue
+        reported.add((seed.lineno, seed.col))
+        yield ctx.finding(rule_, None, f"{seed.description}: {consequence}",
+                          line=seed.lineno, col=seed.col)
 
 
 @rule("det-unsorted-listing", severity=SEVERITY_ERROR, scope=DETERMINISM_SCOPE,
@@ -71,22 +78,9 @@ def _sorted_wrapped_args(tree: ast.AST) -> Set[int]:
       suggestion="wrap the enumeration in sorted(...) so iteration order "
                  "does not depend on the filesystem")
 def check_unsorted_listing(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    wrapped = _sorted_wrapped_args(ctx.tree)
-    for call in astutil.walk_calls(ctx.tree):
-        name = astutil.call_name(call)
-        if name in _LISTING_CALLS and id(call) not in wrapped:
-            yield ctx.finding(
-                rule_, call,
-                f"result of {name}() is iterated in filesystem order; "
-                f"serial and --jobs N runs may disagree")
-
-
-def _is_set_expression(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and astutil.call_name(node) in ("set", "frozenset"):
-        return True
-    return False
+    return _seed_findings(rule_, ctx, "listing",
+                          "iterated in filesystem order, so serial and "
+                          "--jobs N runs may disagree")
 
 
 @rule("det-set-iteration", severity=SEVERITY_ERROR, scope=DETERMINISM_SCOPE,
@@ -94,26 +88,10 @@ def _is_set_expression(node: ast.AST) -> bool:
       suggestion="iterate sorted(...) over the set, or keep insertion order "
                  "with a dict/list")
 def check_set_iteration(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    wrapped = _sorted_wrapped_args(ctx.tree)
-
-    def flag(node: ast.AST, iterable: ast.AST) -> Iterator[Finding]:
-        if _is_set_expression(iterable) and id(iterable) not in wrapped:
-            yield ctx.finding(
-                rule_, iterable,
-                "iterating a set: string hash order differs per process "
-                "(PYTHONHASHSEED), so any ordered output derived from it "
-                "is nondeterministic")
-
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            yield from flag(node, node.iter)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            for generator in node.generators:
-                yield from flag(node, generator.iter)
-        elif isinstance(node, ast.Call) and astutil.call_name(node) in ("list", "tuple"):
-            if node.args:
-                yield from flag(node, node.args[0])
+    return _seed_findings(rule_, ctx, "set-iteration",
+                          "string hash order differs per process "
+                          "(PYTHONHASHSEED), so any ordered output derived "
+                          "from it is nondeterministic")
 
 
 @rule("det-wallclock", severity=SEVERITY_ERROR, scope=DETERMINISM_SCOPE,
@@ -122,20 +100,8 @@ def check_set_iteration(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
                  "timestamps in via the payload, or use time.perf_counter() "
                  "for telemetry-only durations")
 def check_wallclock(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    bare_time_names = {
-        name for name in astutil.from_imports(ctx.tree, "time")
-        if name in ("time", "time_ns")}
-    for call in astutil.walk_calls(ctx.tree):
-        dotted = astutil.dotted_name(call.func)
-        if dotted in _WALLCLOCK_CALLS:
-            yield ctx.finding(
-                rule_, call,
-                f"{dotted}() reads the wall clock; its value differs per "
-                f"run and per process")
-        elif isinstance(call.func, ast.Name) and call.func.id in bare_time_names:
-            yield ctx.finding(
-                rule_, call,
-                f"{call.func.id}() (imported from time) reads the wall clock")
+    return _seed_findings(rule_, ctx, "wallclock",
+                          "its value differs per run and per process")
 
 
 @rule("det-unseeded-random", severity=SEVERITY_ERROR, scope=DETERMINISM_SCOPE,
@@ -143,20 +109,9 @@ def check_wallclock(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
       suggestion="derive a seeded random.Random(...) instance from payload "
                  "material instead of the module-level functions")
 def check_unseeded_random(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    bare = astutil.from_imports(ctx.tree, "random") & _GLOBAL_RANDOM_FUNCS
-    for call in astutil.walk_calls(ctx.tree):
-        dotted = astutil.dotted_name(call.func)
-        if dotted and dotted.startswith("random.") \
-                and dotted.split(".", 1)[1] in _GLOBAL_RANDOM_FUNCS:
-            yield ctx.finding(
-                rule_, call,
-                f"{dotted}() draws from the process-global RNG, whose state "
-                f"depends on call order across the whole process")
-        elif isinstance(call.func, ast.Name) and call.func.id in bare:
-            yield ctx.finding(
-                rule_, call,
-                f"{call.func.id}() (imported from random) draws from the "
-                f"process-global RNG")
+    return _seed_findings(rule_, ctx, "global-random",
+                          "the generator's state depends on call order "
+                          "across the whole process")
 
 
 @rule("det-object-identity", severity=SEVERITY_ERROR, scope=DETERMINISM_SCOPE,
@@ -164,13 +119,10 @@ def check_unseeded_random(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
       suggestion="use stable keys (addresses, names, content digests via "
                  "hashlib) instead of per-process object identity")
 def check_object_identity(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    for call in astutil.walk_calls(ctx.tree):
-        if isinstance(call.func, ast.Name) and call.func.id in ("id", "hash"):
-            yield ctx.finding(
-                rule_, call,
-                f"builtin {call.func.id}() is process-dependent "
-                f"(PYTHONHASHSEED / allocator); it must never leak into "
-                f"serialized payloads, digests, or cache keys")
+    return _seed_findings(rule_, ctx, "identity",
+                          "PYTHONHASHSEED / allocator dependent; it must "
+                          "never leak into serialized payloads, digests, or "
+                          "cache keys")
 
 
 @rule("det-env-read", severity=SEVERITY_WARNING, scope=DETERMINISM_SCOPE,
@@ -179,18 +131,9 @@ def check_object_identity(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
                  "and pass it through the payload, so two machines running "
                  "the same sweep agree byte-for-byte")
 def check_env_read(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Attribute) and node.attr == "environ" \
-                and astutil.dotted_name(node) == "os.environ":
-            yield ctx.finding(
-                rule_, node,
-                "os.environ read in worker/digest scope: behaviour now "
-                "depends on the invoking machine, not the payload")
-        elif isinstance(node, ast.Call) and astutil.dotted_name(node.func) == "os.getenv":
-            yield ctx.finding(
-                rule_, node,
-                "os.getenv(...) in worker/digest scope: behaviour now "
-                "depends on the invoking machine, not the payload")
+    return _seed_findings(rule_, ctx, "env",
+                          "behaviour now depends on the invoking machine, "
+                          "not the payload")
 
 
 @rule("det-json-sort-keys", severity=SEVERITY_ERROR, scope=JSON_SCOPE,

@@ -44,9 +44,10 @@ thread-reachable code      unlocked module-global writes
                            (``effect-thread-shared-state``, error)
 =========================  =================================================
 
-The per-file determinism rules (:mod:`repro.analysis.determinism`) share
-this module's seed tables, so a pattern added here tightens both the flat
-and the transitive checks at once.
+Every seed is kept, tagged with the *kind* of site it matched, and the
+per-file determinism rules (:mod:`repro.analysis.determinism`) are queries
+over those seeds: one traversal finds each pattern, so a pattern added here
+tightens both the flat and the transitive checks at once.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ EFFECTS = (
 )
 
 # ---------------------------------------------------------------------------
-# intrinsic seed tables (shared with repro.analysis.determinism)
+# intrinsic seed tables
 # ---------------------------------------------------------------------------
 #: directory-enumeration calls whose result order is filesystem-dependent
 LISTING_CALLS = {"listdir", "scandir", "iterdir", "glob", "rglob"}
@@ -146,6 +147,20 @@ OBS_EXPORTER_FILES = ("obs/export.py", "obs/ledger.py")
 # analysis results
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
+class Seed:
+    """One intrinsic effect site in a function body."""
+
+    effect: str
+    #: the site's pattern, which the flat determinism rules select on:
+    #: "wallclock" | "global-random" | "listing" | "set-iteration" |
+    #: "identity" | "env" | "fs-write" | "network" | "blocking"
+    kind: str
+    lineno: int
+    col: int
+    description: str
+
+
+@dataclass(frozen=True)
 class Witness:
     """Why a function carries an effect: its seed, or the carrying call."""
 
@@ -183,11 +198,16 @@ class EffectProject:
     effects: Dict[str, Set[str]] = field(default_factory=dict)
     witnesses: Dict[Tuple[str, str], Witness] = field(default_factory=dict)
     mutation_sites: Dict[str, List[MutationSite]] = field(default_factory=dict)
+    #: every intrinsic seed, per file (relpath), in function order
+    seeds: Dict[str, List[Seed]] = field(default_factory=dict)
     #: thread-reachability BFS tree: fn -> (calling fn, call line) | None for roots
     thread_pred: Dict[str, Optional[Tuple[str, int]]] = field(default_factory=dict)
 
     def effects_of(self, qualname: str) -> Set[str]:
         return self.effects.get(qualname, set())
+
+    def seeds_in(self, relpath: str) -> List[Seed]:
+        return self.seeds.get(relpath, [])
 
     def thread_chain(self, qualname: str) -> List[str]:
         """Root-first call chain by which a thread reaches *qualname*."""
@@ -270,7 +290,7 @@ def normalized_call_target(info: ModuleInfo, func: ast.AST) -> Optional[str]:
     return None
 
 
-def sorted_wrapped_ids(nodes: Sequence[ast.AST]) -> Set[int]:
+def _sorted_wrapped_ids(nodes: Sequence[ast.AST]) -> Set[int]:
     """ids of AST nodes anywhere inside the first argument of ``sorted(...)``.
 
     The whole subtree counts, not just the direct argument:
@@ -311,62 +331,65 @@ def _is_set_expression(node: ast.AST) -> bool:
 
 
 def _call_seeds(info: ModuleInfo, call: ast.Call,
-                wrapped: Set[int]) -> Iterator[Tuple[str, str]]:
-    """Yield ``(effect, description)`` seeds for one call expression."""
+                wrapped: Set[int]) -> Iterator[Tuple[str, str, str]]:
+    """Yield ``(effect, kind, description)`` seeds for one call expression."""
     dotted = normalized_call_target(info, call.func)
     if dotted is None:
         return
     last = dotted.rsplit(".", 1)[-1]
     if dotted in WALLCLOCK_CALLS:
-        yield NONDETERMINISTIC, f"wall-clock read {dotted}()"
+        yield NONDETERMINISTIC, "wallclock", f"wall-clock read {dotted}()"
     if dotted.startswith("random.") and last in GLOBAL_RANDOM_FUNCS:
-        yield NONDETERMINISTIC, f"process-global RNG draw {dotted}()"
+        yield (NONDETERMINISTIC, "global-random",
+               f"process-global RNG draw {dotted}()")
     if last in LISTING_CALLS and id(call) not in wrapped:
-        yield NONDETERMINISTIC, f"unsorted directory enumeration {last}()"
+        yield (NONDETERMINISTIC, "listing",
+               f"unsorted directory enumeration {last}()")
     if isinstance(call.func, ast.Name) and call.func.id in ("id", "hash"):
-        yield NONDETERMINISTIC, f"per-process identity {call.func.id}()"
+        yield (NONDETERMINISTIC, "identity",
+               f"per-process identity {call.func.id}()")
     if dotted == "os.getenv" or dotted.startswith("os.environ."):
-        yield ENV_READ, f"environment read {dotted}()"
+        yield ENV_READ, "env", f"environment read {dotted}()"
     if dotted in ("open", "io.open", "os.fdopen") and _open_mode_writes(call):
-        yield FS_WRITE, f"{dotted}() with a writable mode"
+        yield FS_WRITE, "fs-write", f"{dotted}() with a writable mode"
     if dotted in FS_WRITE_CALLS and dotted != "os.fdopen":
-        yield FS_WRITE, f"filesystem mutation {dotted}()"
+        yield FS_WRITE, "fs-write", f"filesystem mutation {dotted}()"
     if "." in dotted and last in FS_WRITE_METHODS:
-        yield FS_WRITE, f"filesystem mutation .{last}()"
+        yield FS_WRITE, "fs-write", f"filesystem mutation .{last}()"
     if dotted in NETWORK_CALLS \
             or dotted.startswith(NETWORK_CALL_PREFIXES):
-        yield NETWORK, f"network operation {dotted}()"
+        yield NETWORK, "network", f"network operation {dotted}()"
     if dotted in BLOCKING_CALLS or dotted.startswith("subprocess."):
-        yield BLOCKING_IO, f"blocking call {dotted}()"
+        yield BLOCKING_IO, "blocking", f"blocking call {dotted}()"
 
 
-def _function_seeds(info: ModuleInfo,
-                    owner: FunctionNode) -> List[Tuple[str, int, int, str]]:
-    """All intrinsic ``(effect, line, col, description)`` seeds of *owner*."""
+def _function_seeds(info: ModuleInfo, owner: FunctionNode) -> List[Seed]:
+    """All intrinsic seeds of *owner*."""
     is_module = owner.name == MODULE_FUNCTION
     nodes = list(walk_owned(owner.node, is_module=is_module))
-    wrapped = sorted_wrapped_ids(nodes)
+    wrapped = _sorted_wrapped_ids(nodes)
 
-    seeds: List[Tuple[str, int, int, str]] = []
+    seeds: List[Seed] = []
 
-    def note(effect: str, node: ast.AST, description: str) -> None:
-        seeds.append((effect, node.lineno, node.col_offset, description))
+    def note(effect: str, kind: str, node: ast.AST, description: str) -> None:
+        seeds.append(Seed(effect=effect, kind=kind, lineno=node.lineno,
+                          col=node.col_offset, description=description))
 
     def flag_set_iteration(iterable: ast.AST) -> None:
         if _is_set_expression(iterable) and id(iterable) not in wrapped:
-            note(NONDETERMINISTIC, iterable,
+            note(NONDETERMINISTIC, "set-iteration", iterable,
                  "iteration over a set expression (hash order)")
 
     for node in nodes:
         if isinstance(node, ast.Call):
-            for effect, description in _call_seeds(info, node, wrapped):
-                note(effect, node, description)
+            for effect, kind, description in _call_seeds(info, node, wrapped):
+                note(effect, kind, node, description)
         elif isinstance(node, ast.Attribute) and node.attr == "environ" \
                 and astutil.dotted_name(node) == "os.environ":
-            note(ENV_READ, node, "environment read os.environ")
+            note(ENV_READ, "env", node, "environment read os.environ")
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
                 and info.import_objects.get(node.id) == ("os", "environ"):
-            note(ENV_READ, node, "environment read os.environ")
+            note(ENV_READ, "env", node, "environment read os.environ")
         if isinstance(node, (ast.For, ast.AsyncFor)):
             flag_set_iteration(node.iter)
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
@@ -506,12 +529,13 @@ def analyze_project(root: Path,
         info = graph.modules[owner.module]
         effects: Set[str] = set()
         seeds = sorted(_function_seeds(info, owner),
-                       key=lambda seed: (seed[1], seed[2], seed[0]))
-        for effect, lineno, _col, description in seeds:
-            if effect not in effects:
-                effects.add(effect)
-                project.witnesses[(qualname, effect)] = Witness(
-                    kind="seed", lineno=lineno, detail=description)
+                       key=lambda seed: (seed.lineno, seed.col, seed.effect))
+        project.seeds.setdefault(owner.relpath, []).extend(seeds)
+        for seed in seeds:
+            if seed.effect not in effects:
+                effects.add(seed.effect)
+                project.witnesses[(qualname, seed.effect)] = Witness(
+                    kind="seed", lineno=seed.lineno, detail=seed.description)
         sites = _scan_mutations(info, owner)
         if sites:
             project.mutation_sites[qualname] = sites

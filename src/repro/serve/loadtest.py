@@ -19,7 +19,7 @@ The report combines both measurement sides:
   ``GET /metrics`` — the PR-6 measurement substrate, with its log-bucket
   percentile estimates.
 
-``benchmarks/check_loadtest_regression.py`` gates CI on this report
+``benchmarks/check_regression.py loadtest`` gates CI on this report
 against the committed ``benchmarks/results/loadtest_baseline.json``.
 """
 

@@ -1,10 +1,16 @@
 """Shared fixtures for the test suite."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.benchmark import BenchmarkConfig
 from repro.malt import MaltApplication, MaltTopologyConfig
 from repro.traffic import CommunicationGraphConfig, TrafficAnalysisApplication
+
+# the CI gate scripts under benchmarks/ are importable as top-level modules
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 
 SMALL_MALT_CONFIG = MaltTopologyConfig(

@@ -41,6 +41,17 @@ FIXTURE_RELPATH = {
 }
 
 
+#: the exact lines each seed-backed determinism rule flags on its bad fixture
+PINNED_DET_LINES = {
+    "det-unsorted-listing": (8, 12),
+    "det-set-iteration": (5, 10),
+    "det-wallclock": (8, 9),
+    "det-unseeded-random": (7,),
+    "det-object-identity": (5,),
+    "det-env-read": (7, 8),
+}
+
+
 def fixture_pair(rule_id):
     stem = rule_id.replace("-", "_")
     return FIXTURES / f"{stem}_bad.py", FIXTURES / f"{stem}_good.py"
@@ -77,6 +88,12 @@ class TestFixtureCorpus:
         findings = run_rule(rule_id, good)
         assert findings == [], (
             f"rule {rule_id} false-positived on {good.name}: {findings}")
+
+    @pytest.mark.parametrize("rule_id, lines", sorted(PINNED_DET_LINES.items()))
+    def test_det_rule_pins_exact_lines_on_bad_fixture(self, rule_id, lines):
+        bad, _ = fixture_pair(rule_id)
+        found = {(f.rule_id, f.line) for f in run_rule(rule_id, bad)}
+        assert found == {(rule_id, line) for line in lines}
 
     def test_every_rule_has_a_fixture_pair(self):
         for rule in all_rules():
@@ -136,6 +153,21 @@ class TestFramework:
         assert len(findings) == 1
         assert findings[0].line == 4
         assert findings[0].severity == SEVERITY_ERROR
+
+    @pytest.mark.parametrize("source, line", [
+        # a def under a module-level `if` is no call-graph function
+        ("import time\nif True:\n    def run(p):\n        return time.time()\n", 4),
+        # a property getter is shadowed by its same-named setter
+        ("import time\n\nclass Clock:\n    @property\n    def now(self):\n"
+         "        return time.time()\n\n    @now.setter\n    def now(self, v):\n"
+         "        pass\n", 6),
+    ])
+    def test_finding_outside_registered_functions(self, tmp_path, source, line):
+        path = tmp_path / "worker.py"
+        path.write_text(source)
+        findings = analyze_file(path, rules=get_rules(["det-wallclock"]),
+                                relpath="exec/worker.py")
+        assert [f.line for f in findings] == [line]
 
     def test_scope_excludes_out_of_scope_files(self, tmp_path):
         path = tmp_path / "cli_helper.py"

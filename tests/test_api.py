@@ -8,8 +8,6 @@ deterministic functions of their inputs.
 """
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -26,8 +24,7 @@ from repro.serve.loadtest import (
 )
 from repro.utils.validation import ValidationError
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-from check_loadtest_regression import main as loadtest_gate_main  # noqa: E402
+from check_regression import main as gate_main
 
 
 # ---------------------------------------------------------------------------
@@ -209,37 +206,46 @@ class TestLoadTestGate:
     def test_matching_reports_pass(self, tmp_path, capsys):
         base = _report(tmp_path / "base.json")
         current = _report(tmp_path / "cur.json")
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 0
+        assert gate_main(["loadtest", "--report", str(current),
+                          "--baseline", str(base)]) == 0
 
     def test_p95_regression_fails(self, tmp_path):
         base = _report(tmp_path / "base.json", p95=0.010)
         current = _report(tmp_path / "cur.json", p95=0.080)  # 8x and >floor
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 1
+        assert gate_main(["loadtest", "--report", str(current),
+                          "--baseline", str(base)]) == 1
 
     def test_abs_floor_shields_fast_paths(self, tmp_path):
         # 10x ratio but only +4.5ms absolute: runner noise, not a regression
         base = _report(tmp_path / "base.json", p95=0.0005)
         current = _report(tmp_path / "cur.json", p95=0.005)
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 0
+        assert gate_main(["loadtest", "--report", str(current),
+                          "--baseline", str(base)]) == 0
 
     def test_throughput_collapse_fails(self, tmp_path):
         base = _report(tmp_path / "base.json", throughput=10.0)
         current = _report(tmp_path / "cur.json", throughput=1.0)
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 1
+        assert gate_main(["loadtest", "--report", str(current),
+                          "--baseline", str(base)]) == 1
 
     def test_failed_requests_fail_the_gate(self, tmp_path):
         base = _report(tmp_path / "base.json")
         current = _report(tmp_path / "cur.json", failed=3)
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 1
+        assert gate_main(["loadtest", "--report", str(current),
+                          "--baseline", str(base)]) == 1
+
+    @pytest.mark.parametrize("completed", [3, 0])
+    def test_failed_requests_fail_the_gate_whatever_the_sample_count(
+            self, tmp_path, completed):
+        base = _report(tmp_path / "base.json")
+        current = _report(tmp_path / "cur.json", completed=completed, failed=20,
+                          throughput=completed / 6)
+        assert gate_main(["loadtest", "--report", str(current),
+                          "--baseline", str(base)]) == 1
 
     def test_too_few_samples_produce_no_verdict(self, tmp_path, capsys):
         base = _report(tmp_path / "base.json")
         current = _report(tmp_path / "cur.json", completed=3, p95=9.9)
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 0
+        assert gate_main(["loadtest", "--report", str(current),
+                          "--baseline", str(base)]) == 0
         assert "no verdict" in capsys.readouterr().out

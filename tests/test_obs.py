@@ -6,8 +6,6 @@ results and cache keys never change."""
 import json
 import math
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -38,8 +36,7 @@ from repro.obs.metrics import (
     bucket_upper_bound,
 )
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-from check_trace_schema import validate_metrics, validate_trace  # noqa: E402
+from check_trace_schema import validate_metrics, validate_trace
 
 #: one log-spaced bucket spans a factor of 10**(1/BUCKETS_PER_DECADE), so a
 #: quantile estimate is off by at most that factor from the true sample

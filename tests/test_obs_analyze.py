@@ -9,7 +9,6 @@ inside the noise band (exit 0), and serial vs ``--jobs 2`` results stay
 byte-identical with the ledger and the sampler enabled."""
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -40,8 +39,8 @@ from repro.obs.analyze import render_latency_table, render_report
 from repro.obs.sample import COUNTER_SAMPLES, GAUGE_CPU_SECONDS, GAUGE_MAX_RSS
 from repro.utils.validation import ValidationError
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-from check_span_regression import main as span_gate_main  # noqa: E402
+import check_regression
+from check_regression import main as gate_main
 
 
 @pytest.fixture(autouse=True)
@@ -468,14 +467,14 @@ class TestSpanRegressionGate:
     def test_gate_passes_when_spans_match_the_baseline(self, tmp_path, capsys):
         baseline = self._write(tmp_path / "base.json", _metrics_snapshot())
         current = self._write(tmp_path / "now.json", _metrics_snapshot())
-        assert span_gate_main(["--metrics", current, "--baseline", baseline]) == 0
+        assert gate_main(["spans", "--metrics", current, "--baseline", baseline]) == 0
         assert "within" in capsys.readouterr().out
 
     def test_gate_fails_on_an_injected_slowdown(self, tmp_path, capsys):
         baseline = self._write(tmp_path / "base.json", _metrics_snapshot(p95=0.1))
         current = self._write(tmp_path / "now.json",
                               _metrics_snapshot(p95=0.1 * 10))
-        assert span_gate_main(["--metrics", current, "--baseline", baseline]) == 1
+        assert gate_main(["spans", "--metrics", current, "--baseline", baseline]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_new_and_removed_spans_never_fail_the_gate(self, tmp_path, capsys):
@@ -485,7 +484,7 @@ class TestSpanRegressionGate:
         current = self._write(
             tmp_path / "now.json", _metrics_snapshot(extra_histograms={
                 "span.fresh.seconds": _histogram_snapshot(0.1, 0.2, 0.3)}))
-        assert span_gate_main(["--metrics", current, "--baseline", baseline]) == 0
+        assert gate_main(["spans", "--metrics", current, "--baseline", baseline]) == 0
         out = capsys.readouterr().out
         assert "NEW" in out and "REMOVED" in out
 
@@ -493,7 +492,7 @@ class TestSpanRegressionGate:
         empty = {"counters": {}, "gauges": {}, "histograms": {}}
         baseline = self._write(tmp_path / "base.json", empty)
         current = self._write(tmp_path / "now.json", empty)
-        assert span_gate_main(["--metrics", current, "--baseline", baseline]) == 1
+        assert gate_main(["spans", "--metrics", current, "--baseline", baseline]) == 1
         assert "no span histograms" in capsys.readouterr().err
 
     def test_committed_baseline_has_the_expected_shape(self):
@@ -503,3 +502,37 @@ class TestSpanRegressionGate:
         span_histograms = [name for name in document.get("histograms", {})
                            if name.startswith("span.") and name.endswith(".seconds")]
         assert len(span_histograms) >= 5
+
+
+# ---------------------------------------------------------------------------
+# the CI topology-generation gate
+# ---------------------------------------------------------------------------
+class TestTopologyGate:
+    def _run(self, monkeypatch, tmp_path, seconds, families=None):
+        families = check_regression.FAMILY_SIZES if families is None else families
+        baseline = tmp_path / "throughput.json"
+        baseline.write_text(json.dumps(
+            {family: {"seconds_per_build": 1.0} for family in families}),
+            encoding="utf-8")
+        monkeypatch.setattr(check_regression, "TOPOLOGY_BASELINE", baseline)
+        monkeypatch.setattr(check_regression, "_measure",
+                            lambda family, params: {"seconds_per_build": seconds})
+        return gate_main(["topology"])
+
+    def test_slowdown_inside_the_limit_passes(self, monkeypatch, tmp_path):
+        assert self._run(monkeypatch, tmp_path, 2.9) == 0
+
+    def test_slowdown_past_the_limit_fails(self, monkeypatch, tmp_path, capsys):
+        assert self._run(monkeypatch, tmp_path, 3.1) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+
+    def test_family_without_a_baseline_entry_fails(self, monkeypatch, tmp_path,
+                                                    capsys):
+        families = sorted(check_regression.FAMILY_SIZES)[1:]
+        assert self._run(monkeypatch, tmp_path, 1.0, families) == 1
+        assert "no committed baseline entry" in capsys.readouterr().err
+
+    def test_unreadable_baseline_fails(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(check_regression, "TOPOLOGY_BASELINE",
+                            tmp_path / "missing.json")
+        assert gate_main(["topology"]) == 1
