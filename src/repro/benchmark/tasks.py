@@ -59,6 +59,12 @@ def benchmark_cell_task(report_name: str, config_payload: Dict[str, Any],
 
 
 def _build_application(config_payload: Dict[str, Any], app_context: Dict[str, Any]):
+    """The application a cell runs against, with its graph frozen.
+
+    Every cell of a process shares the built application, so no cell may
+    change its graph; freezing makes that a checked rule, and lets the
+    graph's conversions, statistics and diffs answer from a per-graph memo.
+    """
     from repro.benchmark.runner import BenchmarkConfig
 
     config = BenchmarkConfig.from_payload(config_payload)
@@ -67,12 +73,15 @@ def _build_application(config_payload: Dict[str, Any], app_context: Dict[str, An
         from repro.scenarios.overlay import application_from_scenario
         from repro.scenarios.spec import ScenarioSpec
 
-        return application_from_scenario(ScenarioSpec.from_dict(app_context["spec"]))
-    if kind == "strawman":
-        return config.strawman_application()
-    if app_context["application"] == "malt":
-        return config.malt_application()
-    return config.traffic_application()
+        application = application_from_scenario(ScenarioSpec.from_dict(app_context["spec"]))
+    elif kind == "strawman":
+        application = config.strawman_application()
+    elif app_context["application"] == "malt":
+        application = config.malt_application()
+    else:
+        application = config.traffic_application()
+    application.graph.freeze()
+    return application
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.core.application import NetworkApplication
 from repro.core.codeblocks import extract_python_code, extract_sql_code
 from repro.core.prompts import PromptBundle, build_prompt
 from repro.graph import PropertyGraph
-from repro.graph.convert import from_frames, from_networkx, from_sql_database
+from repro.graph.convert import from_frames, from_networkx, from_sql_database, release_view
 from repro.llm.base import LlmProvider, LlmRequest, LlmResponse, TokenLimitExceeded
 from repro.sandbox import ExecutionOutcome, ExecutionSandbox
 from repro.sqlengine import SqlError
@@ -123,17 +123,20 @@ class NetworkManagementPipeline:
 
         outcome = self.sandbox.execute(result.code, namespace)
         result.execution = outcome
-        if outcome.failed:
-            result.error_stage = "execute"
-            result.error_message = outcome.describe_error()
-            return
-        result.result_value = outcome.result
-        if self.backend == "networkx":
-            result.updated_graph = from_networkx(outcome.namespace["G"])
-        else:
-            result.updated_graph = from_frames(outcome.namespace["nodes_df"],
-                                               outcome.namespace["edges_df"],
-                                               directed=self.application.graph.directed)
+        try:
+            if outcome.failed:
+                result.error_stage = "execute"
+                result.error_message = outcome.describe_error()
+                return
+            result.result_value = outcome.result
+            if self.backend == "networkx":
+                result.updated_graph = from_networkx(outcome.namespace["G"])
+            else:
+                result.updated_graph = from_frames(outcome.namespace["nodes_df"],
+                                                   outcome.namespace["edges_df"],
+                                                   directed=self.application.graph.directed)
+        finally:
+            _release_namespace(outcome.namespace, namespace)
 
     def _execute_sql(self, result: PipelineResult) -> None:
         database = self.application.sql_view()
@@ -172,3 +175,17 @@ class NetworkManagementPipeline:
                 result.updated_graph = graph_from_dict(payload["graph"])
         else:
             result.result_value = payload
+
+
+def _release_namespace(*namespaces: Dict[str, Any]) -> None:
+    """Free a finished program's views now, not at the next full collection.
+
+    Functions the program defined hold its namespace through
+    ``__globals__``, and networkx's cached report views point back at their
+    graph; both are reference cycles.  Emptying the namespaces and dropping
+    the cached views breaks them, so a view dies with its last reference.
+    """
+    for namespace in namespaces:
+        for value in namespace.values():
+            release_view(value)
+        namespace.clear()

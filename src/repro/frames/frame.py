@@ -135,7 +135,8 @@ class DataFrame:
             yield index, self.row(index)
 
     def to_records(self) -> List[Record]:
-        return [self.row(i) for i in range(len(self))]
+        columns = list(self._columns)
+        return [dict(zip(columns, values)) for values in zip(*self._columns.values())]
 
     to_dict_records = to_records
 

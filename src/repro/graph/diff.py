@@ -11,6 +11,7 @@ can record it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
@@ -120,7 +121,21 @@ def _diff_attrs(left: Dict[str, Any], right: Dict[str, Any],
 
 def diff_graphs(expected: PropertyGraph, actual: PropertyGraph,
                 float_tolerance: float = 1e-9) -> GraphDiff:
-    """Return the full structural/attribute diff between two graphs."""
+    """Return the full structural/attribute diff between two graphs.
+
+    Two frozen graphs sharing one storage get a copy of the memoized diff
+    of that storage with itself.  It is not assumed empty: a NaN attribute
+    differs from itself under :func:`values_equal`.
+    """
+    if expected._shares_storage_with(actual):
+        key = ("self-diff", expected.directed, actual.directed, float_tolerance)
+        return copy.deepcopy(expected._frozen_memo().get(
+            key, lambda: _diff_graphs(expected, actual, float_tolerance)))
+    return _diff_graphs(expected, actual, float_tolerance)
+
+
+def _diff_graphs(expected: PropertyGraph, actual: PropertyGraph,
+                 float_tolerance: float) -> GraphDiff:
     diff = GraphDiff()
     expected_nodes = set(expected.nodes())
     actual_nodes = set(actual.nodes())

@@ -11,12 +11,20 @@ The class intentionally mirrors a small, explicit subset of the NetworkX
 against a real ``networkx.DiGraph`` obtained through
 :func:`repro.graph.convert.to_networkx`.  Keeping the two shapes close makes
 conversions loss-free and easy to reason about.
+
+A graph can be *frozen* (:meth:`PropertyGraph.freeze`): its mutators then
+raise :class:`GraphError`, and the functions of :mod:`repro.graph.stats`,
+:mod:`repro.graph.convert` and :mod:`repro.graph.diff` may answer from a
+small per-graph :class:`GraphMemo` instead of walking the whole graph again.
+The benchmark freezes every context graph it builds, since every cell reads
+the same network state.
 """
 
 from __future__ import annotations
 
 import copy as _copy
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+import threading
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.utils.validation import ValidationError, require
 
@@ -75,6 +83,38 @@ class EdgeView:
         return f"EdgeView({self.source!r} -> {self.target!r}, {self.attributes!r})"
 
 
+_MISSING = object()
+#: guards the creation of a frozen graph's memo (its fills take the memo's own lock)
+_MEMO_CREATE_LOCK = threading.Lock()
+
+
+class GraphMemo:
+    """Lazily filled values derived from one frozen graph storage.
+
+    Graphs that share frozen storage (see :meth:`PropertyGraph._share`)
+    share one memo, so a key must name every wrapper field (``directed``,
+    ``name``, ...) its value depends on.  Values are filled on first use
+    under a re-entrant lock, so concurrent threads compute each one once
+    and all observe the same object.  The memo is never pickled.
+    """
+
+    __slots__ = ("_lock", "_values")
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._values: Dict[Any, Any] = {}
+
+    def get(self, key: Any, build: Callable[[], Any]) -> Any:
+        """The value under *key*, calling *build* to fill it the first time."""
+        value = self._values.get(key, _MISSING)
+        if value is _MISSING:
+            with self._lock:
+                value = self._values.get(key, _MISSING)
+                if value is _MISSING:
+                    value = self._values[key] = build()
+        return value
+
+
 class PropertyGraph:
     """A directed graph whose nodes and edges carry attribute dictionaries.
 
@@ -87,6 +127,11 @@ class PropertyGraph:
         (kept for communication graphs that are naturally symmetric).  The
         default is directed, matching both applications in the paper.
     """
+
+    # class-level defaults: only a frozen graph carries these per instance,
+    # so an unfrozen graph pickles exactly as it always has
+    _frozen = False
+    _memo: Optional[GraphMemo] = None
 
     def __init__(self, name: str = "graph", directed: bool = True) -> None:
         self.name = name
@@ -101,6 +146,7 @@ class PropertyGraph:
     # ------------------------------------------------------------------
     def add_node(self, node_id: NodeId, **attributes: Any) -> None:
         """Add a node (or merge attributes into an existing node)."""
+        self._require_mutable()
         if node_id not in self._nodes:
             self._nodes[node_id] = {}
             self._succ[node_id] = {}
@@ -109,6 +155,7 @@ class PropertyGraph:
 
     def remove_node(self, node_id: NodeId) -> None:
         """Remove a node and every edge incident to it."""
+        self._require_mutable()
         self._require_node(node_id)
         for target in list(self._succ[node_id]):
             del self._pred[target][node_id]
@@ -130,6 +177,7 @@ class PropertyGraph:
         return self._nodes[node_id]
 
     def set_node_attribute(self, node_id: NodeId, key: str, value: Any) -> None:
+        self._require_mutable()
         self._require_node(node_id)
         self._nodes[node_id][key] = value
 
@@ -152,6 +200,7 @@ class PropertyGraph:
     # ------------------------------------------------------------------
     def add_edge(self, source: NodeId, target: NodeId, **attributes: Any) -> None:
         """Add a directed edge (auto-creating endpoints), merging attributes."""
+        self._require_mutable()
         if source not in self._nodes:
             self.add_node(source)
         if target not in self._nodes:
@@ -167,6 +216,7 @@ class PropertyGraph:
         existing.update(attributes)
 
     def remove_edge(self, source: NodeId, target: NodeId) -> None:
+        self._require_mutable()
         self._require_edge(source, target)
         del self._succ[source][target]
         del self._pred[target][source]
@@ -186,6 +236,7 @@ class PropertyGraph:
         return self._succ[source][target]
 
     def set_edge_attribute(self, source: NodeId, target: NodeId, key: str, value: Any) -> None:
+        self._require_mutable()
         self._require_edge(source, target)
         self._succ[source][target][key] = value
 
@@ -284,7 +335,10 @@ class PropertyGraph:
         return sub
 
     def copy(self) -> "PropertyGraph":
-        """Deep copy of the graph (attribute dictionaries are not shared)."""
+        """Deep copy of the graph (attribute dictionaries are not shared).
+
+        The copy is mutable, also when this graph is frozen.
+        """
         duplicate = PropertyGraph(name=self.name, directed=self.directed)
         for nid, attrs in self._nodes.items():
             duplicate.add_node(nid, **_copy.deepcopy(attrs))
@@ -300,6 +354,63 @@ class PropertyGraph:
     def node_attribute_values(self, key: str) -> Dict[NodeId, Any]:
         """Mapping from node id to attribute value, skipping nodes without it."""
         return {nid: attrs[key] for nid, attrs in self._nodes.items() if key in attrs}
+
+    # ------------------------------------------------------------------
+    # immutability
+    # ------------------------------------------------------------------
+    def freeze(self) -> "PropertyGraph":
+        """Make the graph immutable and return it.
+
+        From now on ``add_*``, ``remove_*`` and ``set_*_attribute`` raise
+        :class:`GraphError`; :meth:`copy` still returns a mutable graph.
+        Freezing is cheap: the per-graph memo is only built when a
+        conversion, statistic or diff first asks for it.
+        """
+        self._frozen = True
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
+
+    def _frozen_memo(self) -> Optional[GraphMemo]:
+        """The memo of a frozen graph (created on first use), else ``None``."""
+        if not self._frozen:
+            return None
+        memo = self._memo
+        if memo is None:
+            with _MEMO_CREATE_LOCK:
+                memo = self._memo
+                if memo is None:
+                    memo = self._memo = GraphMemo()
+        return memo
+
+    def _share(self, name: str, directed: bool, graph_attributes: AttrDict,
+               pred: Dict[NodeId, Dict[NodeId, AttrDict]]) -> "PropertyGraph":
+        """A frozen graph sharing this frozen graph's node, successor and
+        attribute storage (and its memo) under other wrapper fields.
+
+        *pred* is the predecessor index the shared graph presents; it holds
+        this graph's own edge attribute dictionaries.
+        """
+        shared = PropertyGraph(name=name, directed=directed)
+        shared._nodes = self._nodes
+        shared._succ = self._succ
+        shared._pred = pred
+        shared.graph_attributes = graph_attributes
+        shared._frozen = True
+        shared._memo = self._frozen_memo()
+        return shared
+
+    def _shares_storage_with(self, other: "PropertyGraph") -> bool:
+        """True when both graphs are frozen and share node and edge storage."""
+        return (self._frozen and other._frozen and self._nodes is other._nodes
+                and self._succ is other._succ)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_memo", None)  # derived and process-local (holds a lock)
+        return state
 
     # ------------------------------------------------------------------
     # dunder protocol
@@ -336,6 +447,10 @@ class PropertyGraph:
     # ------------------------------------------------------------------
     # internal checks
     # ------------------------------------------------------------------
+    def _require_mutable(self) -> None:
+        if self._frozen:
+            raise GraphError(f"graph {self.name!r} is frozen; modify a copy() of it")
+
     def _require_node(self, node_id: NodeId) -> None:
         if node_id not in self._nodes:
             raise GraphError(f"node {node_id!r} is not in the graph")

@@ -7,6 +7,7 @@ are bytes/connections/packets, ...") and by a few golden answers.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -58,7 +59,19 @@ def compute_stats(graph: PropertyGraph, type_key: str = "type",
     weight_keys:
         Edge attributes summed into ``edge_weight_totals``.  When omitted,
         all numeric edge attributes found on the first pass are used.
+
+    A frozen graph computes each distinct request once and returns copies.
     """
+    memo = graph._frozen_memo()
+    if memo is None:
+        return _compute_stats(graph, type_key, weight_keys)
+    key = ("stats", graph.directed, type_key,
+           None if weight_keys is None else tuple(weight_keys))
+    return copy.deepcopy(memo.get(key, lambda: _compute_stats(graph, type_key, weight_keys)))
+
+
+def _compute_stats(graph: PropertyGraph, type_key: str,
+                   weight_keys: Optional[List[str]]) -> GraphStats:
     node_keys: set = set()
     type_counter: Counter = Counter()
     for _, attrs in graph.nodes(data=True):

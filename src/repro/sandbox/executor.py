@@ -150,7 +150,11 @@ class ExecutionSandbox:
                 f"generated code exceeded the {self.policy.max_seconds:.1f}s time budget")
             return self._failure(timeout, stdout_buffer, exec_globals, start)
         if "error" in error_holder:
-            return self._failure(error_holder["error"], stdout_buffer, exec_globals, start)
+            # popped, not read: the traceback reaches _run's frame, whose
+            # closure holds error_holder, a cycle that would keep every frame
+            # of the failed program (and what it referenced) alive
+            return self._failure(error_holder.pop("error"), stdout_buffer,
+                                 exec_globals, start)
 
         duration = time.perf_counter() - start
         exec_globals.pop("__builtins__", None)

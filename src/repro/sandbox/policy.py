@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import ast
+import threading
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional
 
 from repro.utils.validation import ValidationError
+
+
+#: CPython keeps the AST converter's recursion depth in interpreter-wide
+#: state, so concurrent ``ast.parse`` calls can fail with "SystemError: AST
+#: constructor recursion depth mismatch" (gh-106905); threaded sweeps and
+#: the server therefore parse one program at a time
+_PARSE_LOCK = threading.Lock()
 
 
 class PolicyViolation(ValidationError):
@@ -158,7 +166,8 @@ def validate_source(source: str, policy: Optional[SandboxPolicy] = None) -> None
         raise PolicyViolation(
             f"generated code has {len(lines)} lines; the policy allows "
             f"{policy.max_source_lines}")
-    tree = ast.parse(source)
+    with _PARSE_LOCK:
+        tree = ast.parse(source)
     visitor = PolicyVisitor(policy)
     visitor.visit(tree)
     if visitor.violations:

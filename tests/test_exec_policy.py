@@ -8,7 +8,7 @@ retention (``keep_contexts``).
 
 import pytest
 
-from repro.benchmark.runner import BenchmarkConfig, BenchmarkRunner
+from repro.benchmark.runner import MALT_BACKENDS, BenchmarkConfig, BenchmarkRunner
 from repro.exec import (
     PROFILE_CPU,
     PROFILE_LATENCY,
@@ -105,18 +105,22 @@ class TestThreadEquivalence:
         assert serial.values() == threaded.values()
         assert [r.key for r in threaded.results] == [t.key for t in tasks]
 
-    def test_threads_match_serial_on_benchmark_suite(self):
-        serial = BenchmarkRunner(small_config())
-        threaded = BenchmarkRunner(small_config(),
-                                   policy=ExecutorPolicy.threads(jobs=2))
-        report_serial = serial.run_application(
-            "traffic_analysis", backends=("networkx",), models=["gpt-4"])
-        report_threaded = threaded.run_application(
-            "traffic_analysis", backends=("networkx",), models=["gpt-4"])
-        assert (report_serial.render_summary()
-                == report_threaded.render_summary())
-        assert (report_serial.logger.to_records()
-                == report_threaded.logger.to_records())
+    def test_threads_match_serial_on_benchmark_suite(self, small_benchmark_config):
+        # the MALT cells share one frozen context graph, whose per-graph memo
+        # both threads fill
+        for config, application, backends in (
+                (small_config(), "traffic_analysis", ("networkx",)),
+                (small_benchmark_config, "malt", MALT_BACKENDS)):
+            serial = BenchmarkRunner(config)
+            threaded = BenchmarkRunner(config, policy=ExecutorPolicy.threads(jobs=2))
+            report_serial = serial.run_application(
+                application, backends=backends, models=["gpt-4"])
+            report_threaded = threaded.run_application(
+                application, backends=backends, models=["gpt-4"])
+            assert (report_serial.render_summary()
+                    == report_threaded.render_summary())
+            assert (report_serial.logger.to_records()
+                    == report_threaded.logger.to_records())
 
     def test_threads_match_serial_on_temporal_suite(self):
         serial = BenchmarkRunner(BenchmarkConfig())
